@@ -229,6 +229,17 @@ func TestDetectsDuplicateReliableDelivery(t *testing.T) {
 	if aud.Count != 1 {
 		t.Fatalf("violations = %d, want 1", aud.Count)
 	}
+	// A sender address that decodes to no node ID is deduplicated too.
+	foreign := mac.RxInfo{From: frame.Addr{0xAA, 1, 2, 3, 4, 5}, Reliable: true, Seq: 7}
+	shim.OnDeliver([]byte("z"), foreign)
+	if aud.Count != 1 {
+		t.Fatalf("violations = %d, want 1 (first delivery from a foreign address)", aud.Count)
+	}
+	shim.OnDeliver([]byte("z"), foreign)
+	requireViolation(t, aud, audit.ReliableSemantics)
+	if aud.Count != 2 {
+		t.Fatalf("violations = %d, want 2", aud.Count)
+	}
 }
 
 func TestDetectsIncompleteAckSet(t *testing.T) {

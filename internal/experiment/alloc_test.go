@@ -12,10 +12,10 @@ import (
 // frame lifecycle (DESIGN.md §9): once a network is warmed up — pools
 // populated, topology converged, queues in steady state — driving the
 // simulation forward must allocate (almost) nothing per event. The
-// tolerated residue covers genuinely unbounded bookkeeping: the app-level
-// duplicate-suppression map and the MRTS length sample both grow with
-// unique packets, amortizing to well under one allocation per hundred
-// events. A regression that re-introduces per-frame or per-timer garbage
+// tolerated residue covers genuinely unbounded bookkeeping: the app and
+// audit per-source sequence bitsets and the MRTS length sample all grow
+// with unique packets, amortizing to well under one allocation per
+// hundred events. A regression that re-introduces per-frame or per-timer garbage
 // shows up here as allocs/event jumping by an order of magnitude.
 func TestSteadyStateAllocs(t *testing.T) {
 	protos := []Protocol{RMAC, BMMM, BMW, LBP, MX, DOT11}

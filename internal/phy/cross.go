@@ -234,10 +234,10 @@ type crossMsg struct {
 // shard's. Capacity is a power of two; a full ring makes the producer spin
 // (draining its own inboxes to break producer cycles — see send).
 type spscRing struct {
-	head atomic.Uint64 // next slot the consumer will read
-	_    [56]byte
-	tail atomic.Uint64 // next slot the producer will write
-	_    [56]byte
+	head  atomic.Uint64 // next slot the consumer will read
+	_     [56]byte
+	tail  atomic.Uint64 // next slot the producer will write
+	_     [56]byte
 	slots []crossMsg
 	mask  uint64
 }
@@ -314,7 +314,7 @@ type shardConduit struct {
 	shard int
 
 	// Sender state.
-	out      []*spscRing               // per target shard; nil where no pairs
+	out      []*spscRing                // per target shard; nil where no pairs
 	catalogs map[*Radio][]*crossCatalog // border radio → per-target catalogs (index parallel to outIdx)
 	catIdx   map[*Radio][]int           // target shard index per catalog
 	localSeq uint64

@@ -116,17 +116,13 @@ func DefaultConfig() Config {
 	return Config{Period: 500 * sim.Millisecond, Expiry: 3 * sim.Second, JitterFrac: 0.1}
 }
 
-// neighbor is one entry of the dense per-ID neighbour table. present
-// distinguishes live entries from never-heard or expired IDs; the table is
-// a slice, not a map, because node IDs are small dense integers and the
-// per-beacon recompute sweep dominates the routing layer's cost — a linear
-// scan over a few dozen inline structs beats a map iteration several-fold,
-// and parent selection is order-independent, so the result is unchanged.
+// neighbor is one entry of the neighbour table: the latest beacon heard
+// from node id.
 type neighbor struct {
+	id       int32
 	hops     int32
 	parent   int32
 	children int32
-	present  bool
 	last     sim.Time
 }
 
@@ -140,12 +136,17 @@ type Protocol struct {
 	root bool
 	cfg  Config
 
-	hops      int
-	parent    int
-	neighbors []neighbor // indexed by node ID, grown on demand
+	hops   int
+	parent int
+	// neighbors holds one entry per neighbour heard within Expiry as of
+	// the last recompute, ascending by id. The order is load-bearing:
+	// ChildrenInto returns children in it, which fixes the MAC's
+	// receiver lists, and recompute's tie-break scans in it. The table is
+	// sized by the node's degree, not by the network.
+	neighbors []neighbor
 
 	// nextExpiry is a conservative lower bound on the earliest instant any
-	// present neighbour could expire (refreshed by every full recompute).
+	// tabled neighbour could expire (refreshed by every full recompute).
 	// While now < nextExpiry, a beacon from a non-parent neighbour only
 	// needs comparing against the incumbent parent — see HandleBeacon.
 	nextExpiry sim.Time
@@ -209,16 +210,16 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	if b.ID == p.id {
 		return true
 	}
-	if b.ID >= len(p.neighbors) {
-		p.neighbors = append(p.neighbors, make([]neighbor, b.ID+1-len(p.neighbors))...)
-	}
 	now := p.eng.Now()
-	nb := &p.neighbors[b.ID]
-	nb.hops = int32(b.Hops)
-	nb.parent = int32(b.Parent)
-	nb.children = int32(b.Children)
-	nb.present = true
-	nb.last = now
+	i, ok := p.find(b.ID)
+	if !ok {
+		p.neighbors = append(p.neighbors, neighbor{})
+		copy(p.neighbors[i+1:], p.neighbors[i:])
+	}
+	p.neighbors[i] = neighbor{
+		id: int32(b.ID), hops: int32(b.Hops), parent: int32(b.Parent),
+		children: int32(b.Children), last: now,
+	}
 
 	// Parent re-selection. The full scan is only needed when the incumbent
 	// itself changed (its score moved, possibly down — a max cannot be
@@ -239,7 +240,8 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	if b.Hops < 0 {
 		return true
 	}
-	inc := &p.neighbors[p.parent]
+	j, _ := p.find(p.parent)
+	inc := &p.neighbors[j]
 	incHops, incKids := int(inc.hops), int(inc.children)+1
 	if b.Hops < incHops || (b.Hops == incHops &&
 		(b.Children > incKids || (b.Children == incKids && b.ID < p.parent))) {
@@ -249,28 +251,40 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	return true
 }
 
-// recompute expires stale neighbours and re-selects the parent, in one
-// pass over the dense neighbour table.
+// find returns the index of id in the neighbour table, or the index at
+// which to insert it to keep the table ascending.
+func (p *Protocol) find(id int) (int, bool) {
+	lo, hi := 0, len(p.neighbors)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(p.neighbors[m].id) < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(p.neighbors) && int(p.neighbors[lo].id) == id
+}
+
+// recompute drops expired neighbours from the table and re-selects the
+// parent, in one pass.
 func (p *Protocol) recompute() {
 	now := p.eng.Now()
 	minLast := sim.Time(1<<62 - 1)
 	bestID, bestHops, bestKids := -1, -1, -1
-	for id := range p.neighbors {
-		nb := &p.neighbors[id]
-		if !nb.present {
-			continue
-		}
+	live := p.neighbors[:0]
+	for _, nb := range p.neighbors {
 		if now-nb.last > p.cfg.Expiry {
-			nb.present = false
 			continue
 		}
+		live = append(live, nb)
 		if nb.last < minLast {
 			minLast = nb.last
 		}
 		if nb.hops < 0 {
 			continue
 		}
-		kids := int(nb.children)
+		id, kids := int(nb.id), int(nb.children)
 		if id == p.parent {
 			// Hysteresis: our advertised membership counts toward the
 			// incumbent, so an equally-loaded alternative does not win.
@@ -284,6 +298,7 @@ func (p *Protocol) recompute() {
 			bestID, bestHops, bestKids = id, hops, kids
 		}
 	}
+	p.neighbors = live
 	p.nextExpiry = minLast + p.cfg.Expiry
 	if p.root {
 		p.hops = 0
@@ -311,14 +326,14 @@ func (p *Protocol) Children() []int { return p.ChildrenInto(nil) }
 
 // ChildrenInto appends the current children to buf and returns it, so
 // steady-state callers can reuse one buffer across queries. The table is
-// indexed by ID, so the appended IDs are ascending by construction.
+// kept ascending by ID, so the appended IDs are ascending too.
 func (p *Protocol) ChildrenInto(buf []int) []int {
 	now := p.eng.Now()
 	pid := int32(p.id)
-	for id := range p.neighbors {
-		nb := &p.neighbors[id]
-		if nb.present && now-nb.last <= p.cfg.Expiry && nb.parent == pid {
-			buf = append(buf, id)
+	for i := range p.neighbors {
+		nb := &p.neighbors[i]
+		if now-nb.last <= p.cfg.Expiry && nb.parent == pid {
+			buf = append(buf, int(nb.id))
 		}
 	}
 	return buf
@@ -329,8 +344,7 @@ func (p *Protocol) NeighborCount() int {
 	now := p.eng.Now()
 	c := 0
 	for i := range p.neighbors {
-		nb := &p.neighbors[i]
-		if nb.present && now-nb.last <= p.cfg.Expiry {
+		if now-p.neighbors[i].last <= p.cfg.Expiry {
 			c++
 		}
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,70 @@ func TestBeaconRateRoughlyPeriodic(t *testing.T) {
 	want := uint64(30 * sim.Second / DefaultConfig().Period)
 	if sent < want*8/10 || sent > want*12/10 {
 		t.Fatalf("beacons in 30s = %d, want ≈%d", sent, want)
+	}
+}
+
+// hear feeds p a beacon from id at simulated time t.
+func hear(eng *sim.Engine, p *Protocol, t sim.Time, b Beacon) {
+	eng.Run(t)
+	p.HandleBeacon(b.Marshal())
+}
+
+func TestChildrenAscendingWhenHeardDescending(t *testing.T) {
+	eng := sim.NewEngine(8)
+	p := New(eng, nil, 50, false, DefaultConfig())
+	for _, id := range []int{90, 70, 60, 30, 10, 5} {
+		hear(eng, p, 0, Beacon{ID: id, Hops: 2, Parent: 50})
+	}
+	hear(eng, p, 0, Beacon{ID: 40, Hops: 2, Parent: 7}) // a neighbour, not a child
+	want := []int{5, 10, 30, 60, 70, 90}
+	if got := p.Children(); !slices.Equal(got, want) {
+		t.Fatalf("children = %v, want %v", got, want)
+	}
+	if p.NeighborCount() != 7 {
+		t.Fatalf("neighbours = %d, want 7", p.NeighborCount())
+	}
+}
+
+func TestTieAfterExpiryPicksLowestID(t *testing.T) {
+	eng := sim.NewEngine(9)
+	p := New(eng, nil, 50, false, DefaultConfig())
+	hear(eng, p, 0, Beacon{ID: 3, Hops: 1, Parent: 0, Children: 5})
+	// Equal hops and children, heard out of order; none beats the
+	// incumbent 3.
+	for _, id := range []int{9, 7, 5} {
+		hear(eng, p, sim.Second, Beacon{ID: id, Hops: 1, Parent: 0})
+	}
+	if p.Parent() != 3 {
+		t.Fatalf("parent = %d, want 3", p.Parent())
+	}
+	// 3 expires; the next beacon forces a full recompute over the tie.
+	hear(eng, p, 3500*sim.Millisecond, Beacon{ID: 9, Hops: 1, Parent: 0})
+	if p.Parent() != 5 || p.Hops() != 2 {
+		t.Fatalf("parent = %d hops = %d, want 5/2 (lowest ID on a tie)", p.Parent(), p.Hops())
+	}
+	if len(p.neighbors) != 3 {
+		t.Fatalf("table holds %d entries after expiry, want 3", len(p.neighbors))
+	}
+}
+
+func TestExpiredNeighbourReinsertedInOrder(t *testing.T) {
+	eng := sim.NewEngine(10)
+	p := New(eng, nil, 50, false, DefaultConfig())
+	for _, id := range []int{60, 40, 20} {
+		hear(eng, p, 0, Beacon{ID: id, Hops: 2, Parent: 50})
+	}
+	// 20 and 60 stay fresh; 40 falls silent past Expiry and is dropped
+	// from the table at the next recompute.
+	hear(eng, p, 2*sim.Second, Beacon{ID: 20, Hops: 2, Parent: 50})
+	hear(eng, p, 2*sim.Second, Beacon{ID: 60, Hops: 2, Parent: 50})
+	eng.Run(4 * sim.Second)
+	p.recompute()
+	if got := p.Children(); !slices.Equal(got, []int{20, 60}) || len(p.neighbors) != 2 {
+		t.Fatalf("after expiry: children = %v, table = %d entries", got, len(p.neighbors))
+	}
+	hear(eng, p, 4*sim.Second, Beacon{ID: 40, Hops: 2, Parent: 50})
+	if got := p.Children(); !slices.Equal(got, []int{20, 40, 60}) {
+		t.Fatalf("after re-hearing 40: children = %v, want [20 40 60]", got)
 	}
 }

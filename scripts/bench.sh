@@ -10,9 +10,11 @@
 #   scripts/bench.sh -quick     # single iteration smoke (CI)
 #   scripts/bench.sh -check     # short run, gate against committed JSONs
 #
-# Each JSON maps a benchmark to {ns_op, b_op, allocs_op}. Commit the
-# refreshed files together with any change that moves these numbers, and
-# quote the before/after in the PR description.
+# Each JSON holds a "host" stamp (nproc, the GOMAXPROCS the benchmarks
+# ran with, CPU model, Go version) and a "benchmarks" map from benchmark
+# name to {ns_op, b_op, allocs_op}. Commit the refreshed files together
+# with any change that moves these numbers, and quote the before/after,
+# with the host, in the PR description.
 #
 # -check compares a short (1s benchtime) run against the committed numbers
 # and fails on any allocs/op increase or on an ns/op regression beyond the
@@ -55,11 +57,17 @@ bench_suite() {
     raw=$(go test -run '^$' -bench "$pattern" -benchtime "$BENCHTIME" -benchmem "$@")
     echo "$raw"
 
-    echo "$raw" | awk '
-    BEGIN { print "{"; n = 0 }
+    # go test names each benchmark with a -GOMAXPROCS suffix, omitted when
+    # GOMAXPROCS is 1; the suffix moves into the host stamp.
+    echo "$raw" | awk -v nproc="$(nproc)" -v gover="$(go env GOVERSION)" '
+    /^cpu: / { cpu = substr($0, 6) }
     /^Benchmark/ {
         name = $1
-        sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix
+        procs = 1
+        if (match(name, /-[0-9]+$/)) {
+            procs = substr(name, RSTART + 1)
+            name = substr(name, 1, RSTART - 1)
+        }
         ns = ""; bop = ""; allocs = ""; evs = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")     ns     = $(i - 1)
@@ -68,13 +76,17 @@ bench_suite() {
             if ($(i) == "events/s")  evs    = $(i - 1)
         }
         if (ns == "") next
-        if (n++) printf ",\n"
-        printf "  \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s", \
-            name, ns, (bop == "" ? "null" : bop), (allocs == "" ? "null" : allocs)
-        if (evs != "") printf ", \"events_s\": %s", evs
-        printf "}"
+        row = sprintf("    \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s", \
+            name, ns, (bop == "" ? "null" : bop), (allocs == "" ? "null" : allocs))
+        if (evs != "") row = row sprintf(", \"events_s\": %s", evs)
+        rows = rows (n++ ? ",\n" : "") row "}"
     }
-    END { print "\n}" }
+    END {
+        gsub(/["\\]/, "", cpu)
+        printf "{\n  \"host\": {\"nproc\": %d, \"gomaxprocs\": %d, \"cpu\": \"%s\", \"go\": \"%s\"},\n", \
+            nproc, procs, cpu, gover
+        printf "  \"benchmarks\": {\n%s\n  }\n}\n", rows
+    }
     ' > "$out"
 
     if [[ "$CHECK" == 0 && "$out" != /dev/null ]]; then
@@ -87,7 +99,14 @@ bench_suite() {
 # bench_rows FILE — flatten a BENCH_*.json into "name ns_op allocs_op"
 # rows for the comparison below.
 bench_rows() {
-    sed -n 's/^  "\([^"]*\)": {"ns_op": \([0-9.e+]*\), "b_op": [^,]*, "allocs_op": \([0-9.e+null]*\).*/\1 \2 \3/p' "$1"
+    sed -n 's/^ *"\([^"]*\)": {"ns_op": \([0-9.e+]*\), "b_op": [^,]*, "allocs_op": \([0-9.e+null]*\).*/\1 \2 \3/p' "$1"
+}
+
+# bench_host FILE — the host stamp of a BENCH_*.json.
+bench_host() {
+    local host
+    host=$(sed -n 's/^  "host": \(.*\),$/\1/p' "$1")
+    echo "${host:-an unstamped host}"
 }
 
 # check_suite REF TOL ATOL — compare the current run (the temp file
@@ -102,6 +121,7 @@ check_suite() {
     refrows=$(mktemp) currows=$(mktemp)
     bench_rows "$ref" > "$refrows"
     bench_rows "$cur" > "$currows"
+    echo "$ref recorded on $(bench_host "$ref"), checked on $(bench_host "$cur")"
     if ! awk -v tol="$tol" -v atol="$atol" -v ref="$ref" '
     NR == FNR { ns[$1] = $2; al[$1] = $3; next }
     $1 in ns {
