@@ -30,7 +30,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	cfg := experiment.DefaultConfig()
 	var protocol, scenario string
-	flag.StringVar(&protocol, "protocol", "rmac", "MAC protocol: rmac, bmmm, bmw, lbp, mx, or dot11")
+	flag.StringVar(&protocol, "protocol", "rmac", "MAC protocol: "+cli.ProtocolNames(", "))
 	flag.StringVar(&scenario, "scenario", "stationary", "mobility: stationary, speed1 (0-4 m/s), speed2 (0-8 m/s)")
 	flag.Float64Var(&cfg.Rate, "rate", cfg.Rate, "source rate in packets/second")
 	flag.IntVar(&cfg.Packets, "packets", cfg.Packets, "packets generated by the source (paper: 10000)")

@@ -72,6 +72,18 @@ type Metrics struct {
 	DelayCount uint64
 }
 
+// Add folds o's counters into m (one shard's nodes into a run's total).
+// DelayMax keeps the larger maximum; Nodes is the network size, not a
+// counter, and stays as it is.
+func (m *Metrics) Add(o Metrics) {
+	m.Generated += o.Generated
+	m.Receptions += o.Receptions
+	m.Duplicates += o.Duplicates
+	m.DelaySum += o.DelaySum
+	m.DelayMax = max(m.DelayMax, o.DelayMax)
+	m.DelayCount += o.DelayCount
+}
+
 // DeliveryRatio is R_deliv: packets received by all nodes over packets
 // supposed to be received by all nodes (§4.2.1).
 func (m *Metrics) DeliveryRatio() float64 {

@@ -4,29 +4,33 @@ package cli
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"rmac/internal/experiment"
 )
 
-// ParseProtocol maps a flag value to a Protocol.
+// ParseProtocol maps a flag value (any of a protocol's flag names, in any
+// case) to a Protocol.
 func ParseProtocol(s string) (experiment.Protocol, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "rmac":
-		return experiment.RMAC, nil
-	case "bmmm":
-		return experiment.BMMM, nil
-	case "bmw":
-		return experiment.BMW, nil
-	case "lbp":
-		return experiment.LBP, nil
-	case "mx", "802.11mx":
-		return experiment.MX, nil
-	case "dot11", "802.11", "80211":
-		return experiment.DOT11, nil
+	name := strings.ToLower(strings.TrimSpace(s))
+	for _, p := range experiment.Protocols {
+		if slices.Contains(p.FlagNames(), name) {
+			return p, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown protocol %q (want rmac, bmmm, bmw, lbp, mx, dot11)", s)
+	return 0, fmt.Errorf("unknown protocol %q (want %s)", s, ProtocolNames(", "))
+}
+
+// ProtocolNames joins every protocol's canonical flag name with sep, for
+// help and error text.
+func ProtocolNames(sep string) string {
+	names := make([]string, len(experiment.Protocols))
+	for i, p := range experiment.Protocols {
+		names[i] = p.FlagNames()[0]
+	}
+	return strings.Join(names, sep)
 }
 
 // ParseProtocols parses a comma-separated protocol list.

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strings"
 	"testing"
 
 	"rmac/internal/experiment"
@@ -19,8 +20,31 @@ func TestParseProtocol(t *testing.T) {
 			t.Fatalf("ParseProtocol(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseProtocol("ethernet"); err == nil {
+	_, err := ParseProtocol("ethernet")
+	if err == nil {
 		t.Fatal("bad protocol accepted")
+	}
+	// Round trip over the protocol table: every flag name of every
+	// protocol parses back to it, in any case, and the help and error
+	// text built from the table name each protocol's canonical flag.
+	help := ProtocolNames(", ")
+	for _, p := range experiment.Protocols {
+		flags := p.FlagNames()
+		if len(flags) == 0 {
+			t.Fatalf("%v has no flag names", p)
+		}
+		for _, f := range flags {
+			for _, in := range []string{f, strings.ToUpper(f)} {
+				if got, err := ParseProtocol(in); err != nil || got != p {
+					t.Errorf("ParseProtocol(%q) = %v, %v; want %v", in, got, err, p)
+				}
+			}
+		}
+		for _, text := range []string{help, ProtocolNames(","), err.Error()} {
+			if !strings.Contains(text, flags[0]) {
+				t.Errorf("%q does not list %s", text, flags[0])
+			}
+		}
 	}
 }
 

@@ -19,17 +19,15 @@ func TestAbortResumeReleasesFrames(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Protocol = proto
-			// The quiesce audit runs at every Run return; a mid-abort
-			// quiesce legitimately observes in-flight state a clean run
-			// never quiesces into, so the invariant auditor is detached
-			// for the bit-identity comparison.
+			// The invariant auditor is detached: the comparison pins the
+			// protocol stack's resume, not the auditor's.
 			cfg.Audit = false
 			cancelAt := cfg.Horizon() / 2
 
 			clean := build(cfg)
 			clean.eng.After(cancelAt, func() {}) // mirrors the ctx run's cancel trigger
 			clean.eng.Run(cfg.Horizon())
-			want := clean.collect()
+			want := reduce(cfg, []*stack{clean})
 			wantFrames := clean.medium.Frames().Stats()
 			if want.Aborted {
 				t.Fatalf("clean run aborted: %s", want.AbortReason)
@@ -48,7 +46,7 @@ func TestAbortResumeReleasesFrames(t *testing.T) {
 			}
 			n.eng.SetWatchdog(0, 0)
 			n.eng.Run(cfg.Horizon())
-			got := n.collect()
+			got := reduce(cfg, []*stack{n})
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Errorf("resumed run diverged from uninterrupted run:\n got %s\nwant %s",
 					got.Fingerprint(), want.Fingerprint())
@@ -71,7 +69,7 @@ func TestAbortResumeReleasesFrames(t *testing.T) {
 			c.eng.SetContext(nil)
 			c.eng.SetWatchdog(0, 0)
 			c.eng.Run(cfg.Horizon())
-			got = c.collect()
+			got = reduce(cfg, []*stack{c})
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Errorf("ctx-aborted resumed run diverged from uninterrupted run:\n got %s\nwant %s",
 					got.Fingerprint(), want.Fingerprint())

@@ -13,6 +13,11 @@ import (
 	"rmac/internal/fault"
 	"rmac/internal/geom"
 	"rmac/internal/mac"
+	"rmac/internal/mac/bmmm"
+	"rmac/internal/mac/bmw"
+	"rmac/internal/mac/dot11"
+	"rmac/internal/mac/lbp"
+	"rmac/internal/mac/mx"
 	"rmac/internal/mac/rmac"
 	"rmac/internal/phy"
 	"rmac/internal/routing"
@@ -42,23 +47,47 @@ const (
 	DOT11
 )
 
+// protocolInfo is one row of the protocol table: the display name that
+// String returns (metric labels and CSV use it), the flag spellings the
+// command-line parsers accept (canonical first) and the MAC constructor.
+type protocolInfo struct {
+	name   string
+	flags  []string
+	newMAC func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC
+}
+
+// protocolTable is indexed by Protocol; it is the only place a protocol
+// is named or built.
+var protocolTable = [...]protocolInfo{
+	RMAC: {"RMAC", []string{"rmac"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return rmac.NewWithOptions(r, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
+	}},
+	BMMM: {"BMMM", []string{"bmmm"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return bmmm.New(r, cfg.Phy, eng, cfg.Limits)
+	}},
+	BMW: {"BMW", []string{"bmw"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return bmw.New(r, cfg.Phy, eng, cfg.Limits)
+	}},
+	LBP: {"LBP", []string{"lbp"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return lbp.New(r, cfg.Phy, eng, cfg.Limits)
+	}},
+	MX: {"MX", []string{"mx", "802.11mx"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return mx.New(r, cfg.Phy, eng, cfg.Limits)
+	}},
+	DOT11: {"802.11", []string{"dot11", "802.11", "80211"}, func(r *phy.Radio, eng *sim.Engine, cfg *Config) mac.MAC {
+		return dot11.New(r, cfg.Phy, eng, cfg.Limits)
+	}},
+}
+
 func (p Protocol) String() string {
-	switch p {
-	case RMAC:
-		return "RMAC"
-	case BMMM:
-		return "BMMM"
-	case BMW:
-		return "BMW"
-	case LBP:
-		return "LBP"
-	case MX:
-		return "MX"
-	case DOT11:
-		return "802.11"
+	if p >= 0 && int(p) < len(protocolTable) {
+		return protocolTable[p].name
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
+
+// FlagNames lists the lower-case flag spellings of p, canonical first.
+func (p Protocol) FlagNames() []string { return protocolTable[p].flags }
 
 // Scenario is one of the §4.1.2 mobility settings.
 type Scenario int
@@ -266,7 +295,13 @@ func DefaultConfig() Config {
 
 // Protocols lists every MAC under test in enum order; Protocol values
 // index it, so per-protocol metric families can be dense arrays.
-var Protocols = []Protocol{RMAC, BMMM, BMW, LBP, MX, DOT11}
+var Protocols = func() []Protocol {
+	ps := make([]Protocol, len(protocolTable))
+	for i := range ps {
+		ps[i] = Protocol(i)
+	}
+	return ps
+}()
 
 // PaperRates are the eight source rates of §4.1.2, in packets/second.
 var PaperRates = []float64{5, 10, 20, 40, 60, 80, 100, 120}
@@ -279,6 +314,9 @@ var Scenarios = []Scenario{Stationary, Speed1, Speed2}
 // front ends call Validate up front so flag mistakes exit non-zero with a
 // message instead of starting a doomed simulation.
 func (c Config) Validate() error {
+	if c.Protocol < 0 || int(c.Protocol) >= len(protocolTable) {
+		return fmt.Errorf("experiment: unknown protocol %v", c.Protocol)
+	}
 	if c.Nodes < 2 {
 		return fmt.Errorf("experiment: need at least 2 nodes, have %d", c.Nodes)
 	}
@@ -323,9 +361,6 @@ func (c Config) Validate() error {
 		}
 		if c.TraceCap > 0 {
 			return errors.New("experiment: TraceCap is not supported with Shards > 1")
-		}
-		if c.TimerStats {
-			return errors.New("experiment: TimerStats is not supported with Shards > 1")
 		}
 	}
 	if c.Sources < 0 || c.Sources > c.Nodes {

@@ -43,6 +43,26 @@ func goldenFaultConfig() Config {
 	return cfg
 }
 
+// goldenShardConfig is a multi-source run of the compact two-strip shard
+// network on the given placement and mobility scenario. Its rows pin the
+// sharded stack's whole fingerprint across code changes (the sharded
+// determinism tests only compare reruns of the same code), and the
+// Shards=0 row pins the one-engine stack on the same two-district
+// placement.
+func goldenShardConfig(shards int, topo TopoKind, sc Scenario) Config {
+	cfg := shardConfig(shards)
+	cfg.Topo = topo
+	cfg.Districts = 2
+	cfg.Sources = 2
+	cfg.Scenario = sc
+	return cfg
+}
+
+// goldenFPString extends goldenString with the full result fingerprint.
+func goldenFPString(r RunResult) string {
+	return fmt.Sprintf("%s fp=%s", goldenString(r), r.Fingerprint())
+}
+
 // goldenFaultString extends goldenString with the impairment counters.
 func goldenFaultString(r RunResult) string {
 	return fmt.Sprintf("%s bursterr=%d badentries=%d crashes=%d recoveries=%d deadlocks=%d",
@@ -77,6 +97,13 @@ const (
 	// but with bursty loss and churn enabled, so any drift in the GE chain
 	// advancement, churn scheduling, or crash semantics shows up here.
 	goldenFault = "events=1011170 gen=200 rx=4771 dup=0 deliv=0.82258620689655171 delay=0.734644046 drop=0.10764765045303065 retx=1.7330833580432325 ovh=0.21918798901650646 nonleaf=11 mrts_n=5236 abort_n=11 reach=30 bursterr=4848 badentries=14914 crashes=279 recoveries=274 deadlocks=0"
+	// The two-district rows pin the sharded and one-engine stacks on
+	// multi-source runs; each carries the full fingerprint
+	// (goldenFPString).
+	goldenMetro2    = "events=86381 gen=60 rx=1140 dup=0 deliv=0.48717948717948717 delay=0.0056451499999999998 drop=0 retx=0.20370370370370369 ovh=0.28052503052503047 nonleaf=9 mrts_n=325 abort_n=9 reach=20 fp=1dd772b1598594ea337f5e6640f9d623d2103be5ca1cafefe707042716b0502c"
+	goldenUniform2  = "events=92906 gen=60 rx=1140 dup=0 deliv=0.48717948717948717 delay=0.013345493 drop=0 retx=0.28333333333333338 ovh=0.18781262401897858 nonleaf=12 mrts_n=462 abort_n=12 reach=38 fp=f6b0681268bad99514e56eeef856fb7c49513ef4aa460c99a34b0b1b0a345977"
+	goldenMetroMob2 = "events=149120 gen=60 rx=1110 dup=0 deliv=0.47435897435897434 delay=0.0056151209999999998 drop=0.10000000000000001 retx=0.80666666666666664 ovh=0.36651518073225059 nonleaf=10 mrts_n=512 abort_n=10 reach=20 fp=0290932b4e88bb1768bc7e92380269ceaa7fb7d288aadc365de33c726b50152d"
+	goldenMetroOne  = "events=87788 gen=60 rx=1140 dup=0 deliv=0.48717948717948717 delay=0.0061778459999999999 drop=0 retx=0.17000000000000001 ovh=0.24628999930886725 nonleaf=10 mrts_n=351 abort_n=10 reach=20 fp=05767a7ec67731316cb34e070e18cb7f72aa73e408979a1e0d8440a48bf00cf1"
 )
 
 // TestGoldenDeterminism pins the fixed-seed RunResult of a full RMAC run
@@ -91,12 +118,19 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"stationary-30", goldenConfig(), goldenStationary},
 		{"grid-120", goldenGridConfig(), goldenGrid},
 		{"fault-30", goldenFaultConfig(), goldenFault},
+		{"metro-shards2", goldenShardConfig(2, TopoMetro, Stationary), goldenMetro2},
+		{"uniform-shards2", goldenShardConfig(2, TopoUniform, Stationary), goldenUniform2},
+		{"metro-speed1-shards2", goldenShardConfig(2, TopoMetro, Speed1), goldenMetroMob2},
+		{"metro-shards0", goldenShardConfig(0, TopoMetro, Stationary), goldenMetroOne},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Run(tc.cfg)
 			got := goldenString(r)
-			if tc.cfg.Fault.Enabled() {
+			switch {
+			case tc.cfg.Fault.Enabled():
 				got = goldenFaultString(r)
+			case tc.cfg.Sources > 1:
+				got = goldenFPString(r)
 			}
 			if got != tc.want {
 				t.Errorf("fixed-seed run drifted from seed kernel\n got: %s\nwant: %s", got, tc.want)

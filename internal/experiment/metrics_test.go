@@ -1,10 +1,18 @@
 package experiment
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"rmac/internal/app"
+	"rmac/internal/fault"
+	"rmac/internal/frame"
 	"rmac/internal/metrics"
+	"rmac/internal/phy"
+	"rmac/internal/sim"
 )
 
 // TestRunMetricsNames guards the naming convention: every family the run
@@ -35,10 +43,18 @@ func TestRunMetricsNames(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryFromRun runs a small simulation and checks the
-// rendered registry agrees with the RunResult it came from.
+// TestMetricsRegistryFromRun runs a small simulation, on one engine and
+// on two shards, and checks the rendered registry agrees with the
+// RunResult it came from.
 func TestMetricsRegistryFromRun(t *testing.T) {
-	cfg := smallConfig()
+	for _, cfg := range []Config{smallConfig(), shardConfig(2)} {
+		t.Run(fmt.Sprintf("shards%d", cfg.Shards), func(t *testing.T) {
+			testMetricsRegistryFromRun(t, cfg)
+		})
+	}
+}
+
+func testMetricsRegistryFromRun(t *testing.T, cfg Config) {
 	cfg.TimerStats = true
 	res := Run(cfg)
 	if res.Failed {
@@ -73,6 +89,21 @@ func TestMetricsRegistryFromRun(t *testing.T) {
 	}
 	if placed != res.TimerStats.TotalScheduled() {
 		t.Errorf("timer_scheduled_total = %d, want %d", placed, res.TimerStats.TotalScheduled())
+	}
+	if cfg.Shards > 1 {
+		// The merged census is the sum of the shards' own censuses
+		// (rebuilt here: the run is deterministic in (Seed, Shards)).
+		sr := buildSharded(cfg)
+		if again := sr.run(context.Background()); again.Failed {
+			t.Fatal(again.FailReason)
+		}
+		var sum uint64
+		for _, st := range sr.stacks {
+			sum += st.tstats.TotalScheduled()
+		}
+		if got := res.TimerStats.TotalScheduled(); got != sum {
+			t.Errorf("sharded TotalScheduled = %d, want the shards' sum %d", got, sum)
+		}
 	}
 
 	// Frame-pool conservation: acquired = released + live.
@@ -183,5 +214,83 @@ func TestTotalsDeterministic(t *testing.T) {
 	a, b := Run(cfg), Run(cfg)
 	if a.Totals != b.Totals {
 		t.Fatalf("totals differ across identical runs:\n%+v\n%+v", a.Totals, b.Totals)
+	}
+}
+
+// TestStatsAddCoversEveryField pins the reducer's merge methods against a
+// field added to a stats struct but not to its Add: every numeric field
+// (array elements included) is set to a distinct non-zero value, the
+// struct is added into a zero value twice, and every field must come out
+// doubled — except app.Metrics.DelayMax, which keeps the maximum, and
+// app.Metrics.Nodes, the network size, which Add leaves at zero.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	// check fills *src, runs add twice and compares *dst field by field
+	// against factor× *src (2 unless factor names the field).
+	check := func(name string, src, dst any, add func(), factor map[string]int) {
+		fill(reflect.ValueOf(src).Elem(), new(int64))
+		add()
+		add()
+		s, d := reflect.ValueOf(src).Elem(), reflect.ValueOf(dst).Elem()
+		for i := 0; i < s.NumField(); i++ {
+			f := s.Type().Field(i).Name
+			k, ok := factor[f]
+			if !ok {
+				k = 2
+			}
+			compareScaled(t, name+"."+f, s.Field(i), d.Field(i), int64(k))
+		}
+	}
+	var ms, ms2 phy.MediumStats
+	check("phy.MediumStats", &ms, &ms2, func() { ms2.Add(ms) }, nil)
+	var ps, ps2 frame.PoolStats
+	check("frame.PoolStats", &ps, &ps2, func() { ps2.Add(ps) }, nil)
+	var fs, fs2 fault.Stats
+	check("fault.Stats", &fs, &fs2, func() { fs2.Add(fs) }, nil)
+	var am, am2 app.Metrics
+	check("app.Metrics", &am, &am2, func() { am2.Add(am) }, map[string]int{"DelayMax": 1, "Nodes": 0})
+	var ts, ts2 sim.TimerStats
+	check("sim.TimerStats", &ts, &ts2, func() { ts2.Add(&ts) }, nil)
+}
+
+// fill sets every numeric leaf of v to the next value of *next (from 1).
+func fill(v reflect.Value, next *int64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), next)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		*next++
+		v.SetInt(*next)
+	case reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// compareScaled asserts every numeric leaf of got is k× that of src.
+func compareScaled(t *testing.T, name string, src, got reflect.Value, k int64) {
+	t.Helper()
+	switch src.Kind() {
+	case reflect.Array:
+		for i := 0; i < src.Len(); i++ {
+			compareScaled(t, fmt.Sprintf("%s[%d]", name, i), src.Index(i), got.Index(i), k)
+		}
+	case reflect.Int, reflect.Int64:
+		if want := src.Int() * k; got.Int() != want {
+			t.Errorf("%s = %d after two Adds of %d, want %d", name, got.Int(), src.Int(), want)
+		}
+	case reflect.Uint64:
+		if want := src.Uint() * uint64(k); got.Uint() != want {
+			t.Errorf("%s = %d after two Adds of %d, want %d", name, got.Uint(), src.Uint(), want)
+		}
+	default:
+		t.Fatalf("%s: unhandled kind %v", name, src.Kind())
 	}
 }

@@ -82,6 +82,11 @@ func TestInvalidConfigFails(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted an out-of-range burst BER")
 	}
+	bad = smallConfig()
+	bad.Protocol = Protocol(len(Protocols))
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted a protocol outside the table")
+	}
 }
 
 // TestWatchdogAbortReportsPartialStats verifies a run cut off by the

@@ -5,18 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 
 	"rmac/internal/app"
 	"rmac/internal/audit"
 	"rmac/internal/fault"
 	"rmac/internal/frame"
+	"rmac/internal/geom"
 	"rmac/internal/mac"
-	"rmac/internal/mac/bmmm"
-	"rmac/internal/mac/bmw"
-	"rmac/internal/mac/dot11"
-	"rmac/internal/mac/lbp"
-	"rmac/internal/mac/mx"
-	"rmac/internal/mac/rmac"
 	"rmac/internal/mobility"
 	"rmac/internal/phy"
 	"rmac/internal/routing"
@@ -179,26 +175,25 @@ func auditLiveness(macs []mac.MAC) []Deadlock {
 	return out
 }
 
-// network is one fully-wired simulation.
-type network struct {
-	cfg      Config
+// stack is one engine's share of a run: the engine with its medium,
+// fault injector and auditor, and the per-node layers (mobility, MAC,
+// BLESS routing, multicast app) of the nodes it hosts. A one-engine run
+// is one stack over every node; a sharded run is one stack per strip.
+type stack struct {
 	eng      *sim.Engine
 	medium   *phy.Medium
+	ids      []int // global node ids, ascending; parallel to macs/routers
 	macs     []mac.MAC
 	routers  []*routing.Protocol
-	apps     []*app.Node
-	metrics  *app.Metrics
-	sources  []*app.Source
+	metrics  app.Metrics
 	injector *fault.Injector
 	aud      *audit.Auditor
 	tstats   *sim.TimerStats
-
-	deadlocks []Deadlock
 }
 
 // makePlacement runs cfg's placement generator. Deterministic in
-// (Config, Seed): both the classic and the sharded build call it with the
-// same derived RNG, so a run's topology is independent of Shards.
+// (Config, Seed): the one-engine and the sharded run call it with the same
+// derived RNG, so a run's topology is independent of Shards.
 func makePlacement(cfg Config) topo.Placement {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ PlacementSeedMix))
 	switch cfg.Topo {
@@ -214,89 +209,77 @@ func makePlacement(cfg Config) topo.Placement {
 	}
 }
 
-// build assembles the network for cfg, which must already be validated.
-func build(cfg Config) *network {
-	eng := sim.NewEngine(cfg.Seed)
-	medium := phy.NewMedium(eng, cfg.Phy)
+// waypoint is node i's random-waypoint trajectory from start: a pure
+// function of (Seed, i), so it is the same whatever engine hosts the node
+// and equals the sharded run's shadow replica.
+func waypoint(cfg Config, start geom.Point, i int) *mobility.RandomWaypoint {
+	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
+	return mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), start, rng)
+}
 
-	placement := makePlacement(cfg)
-	roots := cfg.sourceNodes()
-	isRoot := make(map[int]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r] = true
+// build assembles the one-engine run of cfg, which must already be
+// validated: one stack over every node.
+func build(cfg Config) *stack {
+	ids := make([]int, cfg.Nodes)
+	for i := range ids {
+		ids[i] = i
 	}
+	return buildStack(cfg, makePlacement(cfg), sim.NewEngine(cfg.Seed), ids)
+}
 
+// buildStack wires the nodes ids (ascending) of placement onto eng: a
+// medium, then per node mobility, MAC, routing, app and auditor hooks,
+// with each source started right after its node, and finally the fault
+// injector over the finished medium.
+func buildStack(cfg Config, placement topo.Placement, eng *sim.Engine, ids []int) *stack {
+	medium := phy.NewMedium(eng, cfg.Phy)
+	st := &stack{eng: eng, medium: medium, ids: ids, metrics: app.Metrics{Nodes: cfg.Nodes},
+		macs: make([]mac.MAC, 0, len(ids)), routers: make([]*routing.Protocol, 0, len(ids))}
 	if cfg.TraceCap > 0 {
 		medium.Tracer = trace.New(cfg.TraceCap)
 	}
-	n := &network{cfg: cfg, eng: eng, medium: medium, metrics: &app.Metrics{Nodes: cfg.Nodes}}
 	if cfg.TimerStats {
-		n.tstats = eng.EnableTimerStats()
+		st.tstats = eng.EnableTimerStats()
 	}
 	if cfg.Audit {
 		// The airtime bound sizes the legal RBT hold window: the largest
 		// data frame a run can carry is a forwarded source packet (beacons
 		// are far smaller), with a little slack for header variations.
-		n.aud = audit.New(eng, medium, audit.Config{
+		st.aud = audit.New(eng, medium, audit.Config{
 			MaxFrameAirtime: cfg.Phy.TxDuration(frame.RMACDataOverhead + cfg.PacketSize + 64),
 		})
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		var mob mobility.Model
-		if cfg.Scenario == Stationary {
-			mob = mobility.Stationary{P: placement.Points[i]}
-		} else {
-			nodeRNG := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-			mob = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], nodeRNG)
+	roots := cfg.sourceNodes() // ascending
+	for _, i := range ids {
+		var mob mobility.Model = mobility.Stationary{P: placement.Points[i]}
+		if cfg.Scenario != Stationary {
+			mob = waypoint(cfg, placement.Points[i], i)
 		}
-		radio := medium.AddRadio(i, mob)
-		var m mac.MAC
-		switch cfg.Protocol {
-		case RMAC:
-			m = rmac.NewWithOptions(radio, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
-		case BMMM:
-			m = bmmm.New(radio, cfg.Phy, eng, cfg.Limits)
-		case BMW:
-			m = bmw.New(radio, cfg.Phy, eng, cfg.Limits)
-		case LBP:
-			m = lbp.New(radio, cfg.Phy, eng, cfg.Limits)
-		case MX:
-			m = mx.New(radio, cfg.Phy, eng, cfg.Limits)
-		case DOT11:
-			m = dot11.New(radio, cfg.Phy, eng, cfg.Limits)
-		}
-		rt := routing.New(eng, m, i, isRoot[i], cfg.Routing)
-		a := app.NewNode(eng, m, rt, i, n.metrics)
+		m := protocolTable[cfg.Protocol].newMAC(medium.AddRadio(i, mob), eng, &cfg)
+		_, isRoot := slices.BinarySearch(roots, i)
+		rt := routing.New(eng, m, i, isRoot, cfg.Routing)
+		a := app.NewNode(eng, m, rt, i, &st.metrics)
 		rt.Start()
-		if n.aud != nil {
-			n.aud.RegisterMAC(i, m)
+		if st.aud != nil {
+			st.aud.RegisterMAC(i, m)
 			if s, ok := m.(interface{ SetAuditor(*audit.Auditor) }); ok {
-				s.SetAuditor(n.aud)
+				s.SetAuditor(st.aud)
 			}
 			// app.NewNode installed itself as the MAC's upper layer;
 			// interpose the at-most-once delivery check in front of it.
-			m.SetUpper(n.aud.WrapUpper(i, a))
+			m.SetUpper(st.aud.WrapUpper(i, a))
 		}
-		n.macs = append(n.macs, m)
-		n.routers = append(n.routers, rt)
-		n.apps = append(n.apps, a)
-	}
-	for _, r := range roots {
-		s := app.NewSource(n.apps[r], cfg.Rate, cfg.Packets, cfg.PacketSize)
-		s.Start(cfg.Warmup)
-		n.sources = append(n.sources, s)
+		st.macs = append(st.macs, m)
+		st.routers = append(st.routers, rt)
+		if isRoot {
+			app.NewSource(a, cfg.Rate, cfg.Packets, cfg.PacketSize).Start(cfg.Warmup)
+		}
 	}
 	// The impairment layer attaches after every radio exists (its GE
 	// chains are built per registered radio). A zero cfg.Fault leaves the
 	// medium untouched.
-	n.injector = fault.New(eng, medium, cfg.Fault)
-	// The liveness and invariant audits run whenever the engine quiesces —
-	// horizon reached, queue drained, or watchdog abort.
-	eng.QuiesceAudit = func() {
-		n.deadlocks = auditLiveness(n.macs)
-		n.aud.Quiesce()
-	}
-	return n
+	st.injector = fault.New(eng, medium, cfg.Fault)
+	return st
 }
 
 // testHookPreRun, when non-nil, runs inside Run's panic isolation just
@@ -336,50 +319,73 @@ func RunCtx(ctx context.Context, cfg Config) (res RunResult) {
 	if cfg.Shards > 1 {
 		return runSharded(ctx, cfg)
 	}
-	n := build(cfg)
+	st := build(cfg)
 	if cfg.MaxEvents > 0 || cfg.MaxWall > 0 {
-		n.eng.SetWatchdog(cfg.MaxEvents, cfg.MaxWall)
+		st.eng.SetWatchdog(cfg.MaxEvents, cfg.MaxWall)
 	}
-	n.eng.SetContext(ctx)
-	n.eng.Run(cfg.Horizon())
-	return n.collect()
+	st.eng.SetContext(ctx)
+	st.eng.Run(cfg.Horizon())
+	return reduce(cfg, []*stack{st})
 }
 
-func (n *network) collect() RunResult {
+// reduce merges the stacks of a finished run into one RunResult. It runs
+// the liveness and invariant audits once, after the last window (an
+// engine quiesces at the end of every sharded frontier window, where they
+// would report false mid-run findings), and walks nodes in global id
+// order, so pooled samples come out ordered alike whatever the sharding.
+func reduce(cfg Config, stacks []*stack) RunResult {
 	res := RunResult{
-		Config:      n.cfg,
-		Metrics:     *n.metrics,
-		Delivery:    n.metrics.DeliveryRatio(),
-		AvgDelay:    n.metrics.AvgDelay(),
+		Config:      cfg,
+		Metrics:     app.Metrics{Nodes: cfg.Nodes},
 		MRTSLens:    &stats.Sample{},
 		AbortRatios: &stats.Sample{},
-		Events:      n.eng.Processed,
-		TimerStats:  n.tstats,
-		Trace:       n.medium.Tracer,
-		Fault:       n.injector.Stats,
-		Crashes:     n.medium.Stats.Crashes,
-		Deadlocks:   n.deadlocks,
-		Violations:  n.aud.Violations(),
+		// TraceCap is one-engine only (Validate), so stack 0 holds the trace.
+		Trace: stacks[0].medium.Tracer,
 	}
-	if n.aud != nil {
-		res.ViolationCount = n.aud.Count
+	macs := make([]mac.MAC, cfg.Nodes)
+	parent := make([]int, cfg.Nodes)
+	for s, st := range stacks {
+		for k, id := range st.ids {
+			macs[id] = st.macs[k]
+			parent[id] = st.routers[k].Parent()
+		}
+		if reason, aborted := st.eng.Aborted(); aborted && !res.Aborted {
+			res.Aborted, res.AbortReason = true, reason
+			if len(stacks) > 1 {
+				res.AbortReason = fmt.Sprintf("shard %d: %s", s, reason)
+			}
+		}
+		st.aud.Quiesce()
+		res.Violations = append(res.Violations, st.aud.Violations()...)
+		if st.aud != nil {
+			res.ViolationCount += st.aud.Count
+			for c, v := range st.aud.ByClass {
+				res.Totals.ViolationsByClass[c] += v
+			}
+		}
+		if st.tstats != nil {
+			if res.TimerStats == nil {
+				res.TimerStats = &sim.TimerStats{}
+			}
+			res.TimerStats.Add(st.tstats)
+		}
+		res.Events += st.eng.Processed
+		res.Metrics.Add(st.metrics)
+		res.Fault.Add(st.injector.Stats)
+		res.Totals.Medium.Add(st.medium.Stats)
+		res.Totals.FramePool.Add(st.medium.Frames().Stats())
+		res.Totals.ArenaCap += st.eng.ArenaCap()
+		res.Totals.ArenaLive += st.eng.PoolInUse()
 	}
-	if reason, aborted := n.eng.Aborted(); aborted {
-		res.Aborted = true
-		res.AbortReason = reason
-	}
-	res.Totals.Medium = n.medium.Stats
-	res.Totals.FramePool = n.medium.Frames().Stats()
-	res.Totals.ArenaCap = n.eng.ArenaCap()
-	res.Totals.ArenaLive = n.eng.PoolInUse()
-	if n.aud != nil {
-		res.Totals.ViolationsByClass = n.aud.ByClass
-	}
+	res.Deadlocks = auditLiveness(macs)
+	res.Crashes = res.Totals.Medium.Crashes
+	res.Delivery = res.Metrics.DeliveryRatio()
+	res.AvgDelay = res.Metrics.AvgDelay()
 	res.Totals.Generated = res.Metrics.Generated
 	res.Totals.Receptions = res.Metrics.Receptions
 	res.Totals.Duplicates = res.Metrics.Duplicates
 	var drop, retx, ovh stats.Sample
-	for _, m := range n.macs {
+	for _, m := range macs {
 		s := m.Stats()
 		res.Totals.addMAC(s)
 		if !s.NonLeaf() {
@@ -403,11 +409,6 @@ func (n *network) collect() RunResult {
 	res.AvgDropRatio = drop.Mean()
 	res.AvgRetxRatio = retx.Mean()
 	res.AvgOverheadRatio = ovh.Mean()
-
-	parent := make([]int, n.cfg.Nodes)
-	for i, rt := range n.routers {
-		parent[i] = rt.Parent()
-	}
 	res.Tree = topo.AnalyzeTree(parent, 0)
 	return res
 }

@@ -4,30 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rmac/internal/app"
-	"rmac/internal/audit"
-	"rmac/internal/fault"
-	"rmac/internal/frame"
 	"rmac/internal/geom"
-	"rmac/internal/mac"
-	"rmac/internal/mac/bmmm"
-	"rmac/internal/mac/bmw"
-	"rmac/internal/mac/dot11"
-	"rmac/internal/mac/lbp"
-	"rmac/internal/mac/mx"
-	"rmac/internal/mac/rmac"
 	"rmac/internal/mobility"
 	"rmac/internal/phy"
-	"rmac/internal/routing"
 	"rmac/internal/sim"
-	"rmac/internal/stats"
 	"rmac/internal/topo"
 )
 
@@ -84,27 +70,11 @@ type ShardRunStats struct {
 	StallHist [40]uint64
 }
 
-// shardStack is one shard's private simulation stack.
-type shardStack struct {
-	shard    int
-	eng      *sim.Engine
-	medium   *phy.Medium
-	macs     []mac.MAC
-	routers  []*routing.Protocol
-	apps     []*app.Node
-	metrics  app.Metrics
-	injector *fault.Injector
-	aud      *audit.Auditor
-	ids      []int // global node ids, ascending; parallel to macs/routers/apps
-
-	stats ShardRunStats
-}
-
 // shardedRun is the coordinator state of one sharded simulation.
 type shardedRun struct {
 	cfg    Config
-	part   topo.Partition
-	stacks []*shardStack
+	stacks []*stack // one per strip, indexed by shard
+	shards []ShardRunStats
 	net    *phy.ShardNet
 	sync   *sim.ShardSync
 
@@ -129,80 +99,16 @@ type shardedRun struct {
 	panicDump string
 }
 
-// buildSharded assembles every shard stack and the cross-shard fabric.
+// buildSharded assembles one stack per strip and the cross-shard fabric.
 func buildSharded(cfg Config) *shardedRun {
 	placement := makePlacement(cfg)
 	part := topo.PartitionStrips(placement, cfg.Shards)
-	roots := cfg.sourceNodes()
-	isRoot := make(map[int]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r] = true
-	}
-
-	sr := &shardedRun{cfg: cfg, part: part}
+	sr := &shardedRun{cfg: cfg, shards: make([]ShardRunStats, cfg.Shards)}
 	mediums := make([]*phy.Medium, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		eng := sim.NewEngine(shardSeed(cfg.Seed, s))
-		medium := phy.NewMedium(eng, cfg.Phy)
-		st := &shardStack{shard: s, eng: eng, medium: medium, ids: part.Nodes[s],
-			metrics: app.Metrics{Nodes: cfg.Nodes}}
-		st.stats.Shard, st.stats.Nodes = s, len(st.ids)
-		if cfg.Audit {
-			st.aud = audit.New(eng, medium, audit.Config{
-				MaxFrameAirtime: cfg.Phy.TxDuration(frame.RMACDataOverhead + cfg.PacketSize + 64),
-			})
-		}
-		for _, i := range st.ids {
-			var mob mobility.Model
-			if cfg.Scenario == Stationary {
-				mob = mobility.Stationary{P: placement.Points[i]}
-			} else {
-				// Same per-node RNG derivation as the unsharded build: the
-				// trajectory of node i is a pure function of (Seed, i),
-				// identical across shard counts and to the leader's shadow
-				// replica below.
-				nodeRNG := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-				mob = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], nodeRNG)
-			}
-			radio := medium.AddRadio(i, mob)
-			var m mac.MAC
-			switch cfg.Protocol {
-			case RMAC:
-				m = rmac.NewWithOptions(radio, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
-			case BMMM:
-				m = bmmm.New(radio, cfg.Phy, eng, cfg.Limits)
-			case BMW:
-				m = bmw.New(radio, cfg.Phy, eng, cfg.Limits)
-			case LBP:
-				m = lbp.New(radio, cfg.Phy, eng, cfg.Limits)
-			case MX:
-				m = mx.New(radio, cfg.Phy, eng, cfg.Limits)
-			case DOT11:
-				m = dot11.New(radio, cfg.Phy, eng, cfg.Limits)
-			}
-			rt := routing.New(eng, m, i, isRoot[i], cfg.Routing)
-			a := app.NewNode(eng, m, rt, i, &st.metrics)
-			rt.Start()
-			if st.aud != nil {
-				st.aud.RegisterMAC(i, m)
-				if s, ok := m.(interface{ SetAuditor(*audit.Auditor) }); ok {
-					s.SetAuditor(st.aud)
-				}
-				m.SetUpper(st.aud.WrapUpper(i, a))
-			}
-			st.macs = append(st.macs, m)
-			st.routers = append(st.routers, rt)
-			st.apps = append(st.apps, a)
-			if isRoot[i] {
-				app.NewSource(a, cfg.Rate, cfg.Packets, cfg.PacketSize).Start(cfg.Warmup)
-			}
-		}
-		st.injector = fault.New(eng, medium, cfg.Fault)
-		// Deliberately no eng.QuiesceAudit: Run quiesces at the end of
-		// every frontier window, which would spray false mid-run strand /
-		// liveness findings. The audits run once, after the final window
-		// (see collectSharded).
-		mediums[s] = medium
+	for s := range mediums {
+		st := buildStack(cfg, placement, sim.NewEngine(shardSeed(cfg.Seed, s)), part.Nodes[s])
+		sr.shards[s].Shard, sr.shards[s].Nodes = s, len(st.ids)
+		mediums[s] = st.medium
 		sr.stacks = append(sr.stacks, st)
 	}
 	if cfg.Scenario == Stationary {
@@ -220,9 +126,8 @@ func buildSharded(cfg Config) *shardedRun {
 		}
 		sr.shadow = make([]*mobility.RandomWaypoint, cfg.Nodes)
 		sr.posB = make([]geom.Point, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-			sr.shadow[i] = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], rng)
+		for i := range sr.shadow {
+			sr.shadow[i] = waypoint(cfg, placement.Points[i], i)
 		}
 		sr.net = phy.ConnectShardsMobile(mediums, placement.Points, part.Shard, cfg.Horizon(), sr.envelope)
 	}
@@ -277,7 +182,7 @@ func (sr *shardedRun) publish(j int, eng *sim.Engine) {
 // and the frontier is re-published only after draining, so everything the
 // drain scheduled is reflected in the next-lower-bound it advertises.
 func (sr *shardedRun) runShard(j int, endTime sim.Time) {
-	st := sr.stacks[j]
+	eng, ss := sr.stacks[j].eng, &sr.shards[j]
 	defer func() {
 		if r := recover(); r != nil {
 			sr.fail(r, debug.Stack())
@@ -289,7 +194,6 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 		sr.sync.Publish(j, sim.MaxTime)
 		sr.wg.Done()
 	}()
-	eng := st.eng
 	done := sim.Time(-1) // end of the last executed window
 	// Mobility epochs: B is the next epoch boundary — a hard cap on every
 	// window, because the current lookahead tables are only valid for
@@ -319,7 +223,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			// too, so the final window never outruns the epoch tables.)
 			if endTime > done {
 				eng.Run(endTime)
-				st.stats.Windows++
+				ss.Windows++
 			}
 			sr.checkAborted(eng)
 			return
@@ -339,14 +243,14 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			if B-1 > done {
 				eng.Run(B - 1)
 				done = B - 1
-				st.stats.Windows++
+				ss.Windows++
 				sr.checkAborted(eng)
 				if sr.stop.Load() {
 					return
 				}
 			}
 			sr.publish(j, eng)
-			st.stats.Epochs++
+			ss.Epochs++
 			if j == 0 {
 				for !sr.stop.Load() && sr.sync.MinFrontier() < B {
 					sr.net.Drain(j)
@@ -376,7 +280,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 		if limit > done {
 			eng.Run(limit)
 			done = limit
-			st.stats.Windows++
+			ss.Windows++
 			sr.checkAborted(eng)
 			continue
 		}
@@ -385,7 +289,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 		// target, but consuming them unblocks producers and releases
 		// their frontier caps — and keep re-publishing as drains and
 		// consumed outbound slots raise our own frontier.
-		st.stats.Stalls++
+		ss.Stalls++
 		begin := time.Now()
 		for spins := 0; !sr.stop.Load(); spins++ {
 			if sr.sync.Target(j) > target {
@@ -404,11 +308,11 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			}
 		}
 		wait := time.Since(begin)
-		st.stats.StallWall += wait
-		if b := bits.Len64(uint64(wait.Nanoseconds())); b < len(st.stats.StallHist) {
-			st.stats.StallHist[b]++
+		ss.StallWall += wait
+		if b := bits.Len64(uint64(wait.Nanoseconds())); b < len(ss.StallHist) {
+			ss.StallHist[b]++
 		} else {
-			st.stats.StallHist[len(st.stats.StallHist)-1]++
+			ss.StallHist[len(ss.StallHist)-1]++
 		}
 	}
 }
@@ -433,7 +337,13 @@ func runSharded(ctx context.Context, cfg Config) (res RunResult) {
 				FailReason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack())}
 		}
 	}()
-	sr := buildSharded(cfg)
+	return buildSharded(cfg).run(ctx)
+}
+
+// run drives every shard's frontier loop to the horizon and reduces the
+// stacks.
+func (sr *shardedRun) run(ctx context.Context) RunResult {
+	cfg := sr.cfg
 	ctx, sr.cancel = context.WithCancel(ctx)
 	defer sr.cancel()
 	endTime := cfg.Horizon()
@@ -455,106 +365,14 @@ func runSharded(ctx context.Context, cfg Config) (res RunResult) {
 	if sr.panicked {
 		return RunResult{Config: cfg, Failed: true, FailReason: sr.panicMsg, Stack: sr.panicDump}
 	}
-	return sr.collect()
-}
-
-// collect merges every shard's measurements into one RunResult, iterating
-// nodes in global id order so pooled samples are ordered exactly like the
-// unsharded collector's.
-func (sr *shardedRun) collect() RunResult {
-	cfg := sr.cfg
-	res := RunResult{
-		Config:      cfg,
-		Metrics:     app.Metrics{Nodes: cfg.Nodes},
-		MRTSLens:    &stats.Sample{},
-		AbortRatios: &stats.Sample{},
+	for j, st := range sr.stacks {
+		ss := &sr.shards[j]
+		ss.Events = st.eng.Processed
+		cs := sr.net.Stats(j)
+		ss.MsgsOut, ss.MsgsIn = cs.MsgsOut, cs.MsgsIn
+		ss.GhostAdds, ss.GhostDels = cs.GhostAdds, cs.GhostDels
 	}
-	// Post-run audits, once per shard (see buildSharded).
-	macByID := make([]mac.MAC, cfg.Nodes)
-	rtByID := make([]*routing.Protocol, cfg.Nodes)
-	for _, st := range sr.stacks {
-		st.stats.Events = st.eng.Processed
-		cs := sr.net.Stats(st.shard)
-		st.stats.MsgsOut, st.stats.MsgsIn = cs.MsgsOut, cs.MsgsIn
-		st.stats.GhostAdds, st.stats.GhostDels = cs.GhostAdds, cs.GhostDels
-		for k, id := range st.ids {
-			macByID[id] = st.macs[k]
-			rtByID[id] = st.routers[k]
-		}
-		if reason, aborted := st.eng.Aborted(); aborted && !res.Aborted {
-			res.Aborted, res.AbortReason = true, fmt.Sprintf("shard %d: %s", st.shard, reason)
-		}
-		st.aud.Quiesce()
-		res.Violations = append(res.Violations, st.aud.Violations()...)
-		if st.aud != nil {
-			res.ViolationCount += st.aud.Count
-			for c, v := range st.aud.ByClass {
-				res.Totals.ViolationsByClass[c] += v
-			}
-		}
-		res.Events += st.eng.Processed
-		res.Metrics.Generated += st.metrics.Generated
-		res.Metrics.Receptions += st.metrics.Receptions
-		res.Metrics.Duplicates += st.metrics.Duplicates
-		res.Metrics.DelaySum += st.metrics.DelaySum
-		res.Metrics.DelayCount += st.metrics.DelayCount
-		if st.metrics.DelayMax > res.Metrics.DelayMax {
-			res.Metrics.DelayMax = st.metrics.DelayMax
-		}
-		res.Fault.BurstErrors += st.injector.Stats.BurstErrors
-		res.Fault.BadEntries += st.injector.Stats.BadEntries
-		res.Fault.Crashes += st.injector.Stats.Crashes
-		res.Fault.Recoveries += st.injector.Stats.Recoveries
-		res.Crashes += st.medium.Stats.Crashes
-		ms := &res.Totals.Medium
-		ms.Transmissions += st.medium.Stats.Transmissions
-		ms.Aborts += st.medium.Stats.Aborts
-		ms.FramesDecoded += st.medium.Stats.FramesDecoded
-		ms.FramesCorrupt += st.medium.Stats.FramesCorrupt
-		ms.ToneActivation += st.medium.Stats.ToneActivation
-		ms.Crashes += st.medium.Stats.Crashes
-		fp := st.medium.Frames().Stats()
-		res.Totals.FramePool.Live += fp.Live
-		res.Totals.FramePool.Acquired += fp.Acquired
-		res.Totals.FramePool.Allocated += fp.Allocated
-		res.Totals.FramePool.Released += fp.Released
-		res.Totals.ArenaCap += st.eng.ArenaCap()
-		res.Totals.ArenaLive += st.eng.PoolInUse()
-		res.Shards = append(res.Shards, st.stats)
-	}
-	// Liveness audit over the global MAC array: Deadlock.Node ids come out
-	// global and ordered.
-	res.Deadlocks = auditLiveness(macByID)
-	res.Delivery = res.Metrics.DeliveryRatio()
-	res.AvgDelay = res.Metrics.AvgDelay()
-	res.Totals.Generated = res.Metrics.Generated
-	res.Totals.Receptions = res.Metrics.Receptions
-	res.Totals.Duplicates = res.Metrics.Duplicates
-	var drop, retx, ovh stats.Sample
-	for id := 0; id < cfg.Nodes; id++ {
-		s := macByID[id].Stats()
-		res.Totals.addMAC(s)
-		if !s.NonLeaf() {
-			continue
-		}
-		res.NonLeafCount++
-		drop.Add(totalDropRatio(s))
-		retx.Add(s.RetxRatio())
-		if s.DataTxTime > 0 {
-			ovh.Add(s.OverheadRatio())
-		}
-		res.AbortRatios.Add(s.AbortRatio())
-		for _, l := range s.MRTSLens {
-			res.MRTSLens.Add(float64(l))
-		}
-	}
-	res.AvgDropRatio = drop.Mean()
-	res.AvgRetxRatio = retx.Mean()
-	res.AvgOverheadRatio = ovh.Mean()
-	parent := make([]int, cfg.Nodes)
-	for id, rt := range rtByID {
-		parent[id] = rt.Parent()
-	}
-	res.Tree = topo.AnalyzeTree(parent, 0)
+	res := reduce(cfg, sr.stacks)
+	res.Shards = sr.shards
 	return res
 }

@@ -119,6 +119,14 @@ type Stats struct {
 	Recoveries uint64
 }
 
+// Add folds o's counters into s (one shard's injector into a run's total).
+func (s *Stats) Add(o Stats) {
+	s.BurstErrors += o.BurstErrors
+	s.BadEntries += o.BadEntries
+	s.Crashes += o.Crashes
+	s.Recoveries += o.Recoveries
+}
+
 // Injector owns the fault state for one simulation: per-receiver
 // Gilbert–Elliott chains and the churn schedule. Create it with New
 // after every radio has been added to the medium.

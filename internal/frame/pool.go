@@ -49,6 +49,14 @@ type PoolStats struct {
 	Released  uint64 // total releases
 }
 
+// Add folds o's counters into s (one shard's pool into a run's total).
+func (s *PoolStats) Add(o PoolStats) {
+	s.Live += o.Live
+	s.Acquired += o.Acquired
+	s.Allocated += o.Allocated
+	s.Released += o.Released
+}
+
 // Pool is a per-simulation frame arena. It is not safe for concurrent use;
 // each engine (and therefore each parallel sweep worker) owns its own Pool,
 // exactly like the event pool inside sim.Engine.

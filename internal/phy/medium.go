@@ -71,6 +71,16 @@ type MediumStats struct {
 	Crashes        uint64 // SetDown(true) transitions (fault injection)
 }
 
+// Add folds o's counters into s (one shard's medium into a run's total).
+func (s *MediumStats) Add(o MediumStats) {
+	s.Transmissions += o.Transmissions
+	s.Aborts += o.Aborts
+	s.FramesDecoded += o.FramesDecoded
+	s.FramesCorrupt += o.FramesCorrupt
+	s.ToneActivation += o.ToneActivation
+	s.Crashes += o.Crashes
+}
+
 // NewMedium creates an empty medium on the given engine.
 func NewMedium(eng *sim.Engine, cfg Config) *Medium {
 	if cfg.CommRange <= 0 || cfg.BitRate <= 0 || cfg.PropSpeed <= 0 {

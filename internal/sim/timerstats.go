@@ -130,6 +130,22 @@ func (s *TimerStats) cancel(pos int32, remaining Time) {
 	}
 }
 
+// Add folds o's census into s (one shard's engine into a run's total).
+func (s *TimerStats) Add(o *TimerStats) {
+	for i, v := range o.Scheduled {
+		s.Scheduled[i] += v
+	}
+	for i, v := range o.Cancelled {
+		s.Cancelled[i] += v
+	}
+	for i, v := range o.Placed {
+		s.Placed[i] += v
+	}
+	for i, v := range o.CancelledIn {
+		s.CancelledIn[i] += v
+	}
+}
+
 // TotalScheduled sums the schedule census.
 func (s *TimerStats) TotalScheduled() uint64 {
 	var t uint64
